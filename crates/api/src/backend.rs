@@ -43,6 +43,10 @@ pub trait RawList {
     /// Current capacity (changes across rebuilds).
     fn capacity(&self) -> usize;
 
+    /// Number of slots: labels run over `0..num_slots` (changes across
+    /// rebuilds).
+    fn num_slots(&self) -> usize;
+
     /// The rebuild epoch: labels from before the last epoch change are
     /// stale (see [`Growable::epoch`]).
     fn epoch(&self) -> u64;
@@ -164,6 +168,10 @@ impl<B: LabelingBuilder> RawList for Growable<B> {
 
     fn capacity(&self) -> usize {
         Growable::capacity(self)
+    }
+
+    fn num_slots(&self) -> usize {
+        Growable::num_slots(self)
     }
 
     fn epoch(&self) -> u64 {
@@ -591,6 +599,10 @@ impl RawList for ErasedList {
 
     fn capacity(&self) -> usize {
         self.inner.capacity()
+    }
+
+    fn num_slots(&self) -> usize {
+        self.inner.num_slots()
     }
 
     fn epoch(&self) -> u64 {

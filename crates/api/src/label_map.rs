@@ -4,19 +4,54 @@
 //! cache-friendly indexes because a range scan is a contiguous sweep of
 //! one physical array).
 //!
-//! Keys are kept physically sorted in the backend's slot array. Point
-//! operations binary-search ranks over the labels (O(log n) comparisons,
-//! each an O(log m) rank→element lookup); range scans walk consecutive
-//! ranks, which the backend lays out left-to-right in memory.
+//! # Layout
+//!
+//! The entries live in a **payload array** indexed by label: `payload[l]`
+//! holds the `(key, value)` of the element the backend stores in slot `l`,
+//! and is `None` exactly where that slot is free. The array is as long as
+//! the backend's slot array ([`RawList::num_slots`]), so keys sit
+//! physically sorted, with the backend's gaps between them.
+//!
+//! It is kept in step with the backend's move log. A point insert or
+//! delete replays its [`OpReport`] in order (`payload[to] =
+//! payload[from].take()`, and the new entry lands at its placement); a
+//! bulk splice replays its [`BulkReport`] the same way, then fills the run
+//! in one left-to-right walk. A growth or shrink rebuild rewrites every
+//! label and is not in any report: it is detected by the epoch, and the
+//! array is rebuilt in one O(n) pass that scatters the entries, in order,
+//! over the new structure's occupied labels.
+//!
+//! # Cost
+//!
+//! * **Search** (`get`, `contains_key`, the keyed seeks) binary-searches
+//!   labels, not ranks. One probe reads `payload[mid]`; when that slot is
+//!   free, one occupancy-bitmap query ([`RawList::next_label_after`])
+//!   skips the gap. About log₂(slots) probes, no rank→label `select` and
+//!   no hashing.
+//! * **Insert / remove**: one search, one label→rank resolution, the
+//!   backend operation, and a replay of its move log.
+//! * **Walks** (`iter`, `range`, `into_iter`) sweep the payload array left
+//!   to right. `range` resolves its two end ranks once, so it stays an
+//!   [`ExactSizeIterator`]; cursors step label to label on the bitmap.
+//!
+//! # Memory
+//!
+//! One `Option<(K, V)>` per slot: 48 B for `Vec<u8>` keys and values (the
+//! `Option` lives in the `Vec`'s pointer niche), 24 B for `(u64, u64)`.
+//! The default Corollary 11 backend has about 3.15 slots per element of
+//! capacity, and a growable structure runs between full and quarter
+//! full: 3.15 slots per key right after a growth, 6.3 at half load (see
+//! `docs/performance.md`).
 
 use crate::backend::{ErasedList, ListBuilder, RawList};
 use crate::cursor::MapCursor;
 use crate::persist::{Codec, ContainerKind, Header, SnapshotError};
-use lll_core::growable::Handle;
+use lll_core::report::{BulkReport, MoveRec, OpReport};
 use std::borrow::Borrow;
-use std::collections::HashMap;
+use std::cmp::Ordering;
 use std::fmt;
 use std::io::{Read, Write};
+use std::marker::PhantomData;
 use std::ops::{Bound, RangeBounds};
 
 /// A dynamically sized sorted map with `BTreeMap`-shaped point operations
@@ -37,7 +72,29 @@ use std::ops::{Bound, RangeBounds};
 /// ```
 pub struct LabelMap<K: Ord, V, L: RawList = ErasedList> {
     list: L,
-    entry: HashMap<Handle, (K, V)>,
+    /// `payload[label]` is the entry stored at that label: `Some` exactly
+    /// where the backend's slot is occupied, `num_slots` long.
+    payload: Vec<Option<(K, V)>>,
+    /// Reused move-log buffer: steady-state point operations allocate
+    /// nothing for logging.
+    scratch: OpReport,
+}
+
+/// Which end of a run of equal keys a label search lands on.
+#[derive(Clone, Copy)]
+enum Seek {
+    /// The first key ≥ the probe.
+    AtOrAfter,
+    /// The first key > the probe.
+    After,
+}
+
+/// A `num_slots`-long payload array with every slot free, allocated to
+/// exactly that length.
+fn free_slots<T>(n: usize) -> Vec<Option<T>> {
+    let mut v = Vec::with_capacity(n);
+    v.resize_with(n, || None);
+    v
 }
 
 impl<K: Ord, V> LabelMap<K, V> {
@@ -84,7 +141,8 @@ impl<K: Ord, V, L: RawList> LabelMap<K, V, L> {
     /// Panics if the backend is non-empty.
     pub fn with_backend(list: L) -> Self {
         assert!(list.is_empty(), "LabelMap requires an empty backend");
-        Self { list, entry: HashMap::new() }
+        let payload = free_slots(list.num_slots());
+        Self { list, payload, scratch: OpReport::default() }
     }
 
     /// Number of entries.
@@ -128,18 +186,84 @@ impl<K: Ord, V, L: RawList> LabelMap<K, V, L> {
         self.list.metrics_handle()
     }
 
-    fn pair_at_rank(&self, rank: usize) -> &(K, V) {
-        &self.entry[&self.list.handle_at_rank(rank)]
-    }
-
-    pub(crate) fn pair_of(&self, h: Handle) -> &(K, V) {
-        &self.entry[&h]
-    }
-
     /// Read-only access to the underlying backend (cost counters, labels,
     /// slot-array introspection).
     pub fn backend(&self) -> &L {
         &self.list
+    }
+
+    /// The entry stored at `label` (`None` on a free slot).
+    pub(crate) fn entry_at(&self, label: usize) -> Option<(&K, &V)> {
+        self.payload.get(label)?.as_ref().map(|(k, v)| (k, v))
+    }
+
+    /// The key stored at an occupied `label`.
+    fn key_at(&self, label: usize) -> &K {
+        &self.payload[label].as_ref().expect("payload mirrors occupancy").0
+    }
+
+    /// The value stored at an occupied `label`.
+    fn value_at_mut(&mut self, label: usize) -> &mut V {
+        &mut self.payload[label].as_mut().expect("payload mirrors occupancy").1
+    }
+
+    /// The label of the first key ≥ `key` ([`Seek::AtOrAfter`]) or > `key`
+    /// ([`Seek::After`]), `None` if there is none: a binary search over
+    /// labels. Each probe reads `payload[mid]` and, when that slot is free,
+    /// skips to the next occupied label with one bitmap query. Like
+    /// `BTreeMap`, equality is judged by `Ord::cmp` alone.
+    fn seek<Q>(&self, key: &Q, seek: Seek) -> Option<usize>
+    where
+        K: Borrow<Q>,
+        Q: Ord + ?Sized,
+    {
+        // Invariant: the answer is `found` or an occupied label in lo..hi.
+        let (mut lo, mut hi) = (0, self.payload.len());
+        let mut found = None;
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            let label = if self.payload[mid].is_some() {
+                mid
+            } else {
+                match self.list.next_label_after(mid) {
+                    Some(l) if l < hi => l,
+                    _ => {
+                        hi = mid;
+                        continue;
+                    }
+                }
+            };
+            match self.key_at(label).borrow().cmp(key) {
+                Ordering::Less => lo = label + 1,
+                Ordering::Greater => {
+                    found = Some(label);
+                    hi = mid;
+                }
+                Ordering::Equal => {
+                    return match seek {
+                        Seek::AtOrAfter => Some(label),
+                        Seek::After => self.list.next_label_after(label),
+                    };
+                }
+            }
+        }
+        found
+    }
+
+    /// The rank of the element at `label`, or `len` for `None` (one
+    /// label→rank resolution when `Some`).
+    fn rank_of_label(&self, label: Option<usize>) -> usize {
+        label.map_or(self.len(), |l| self.list.rank_at_label(l))
+    }
+
+    /// The label holding exactly `key`, if present.
+    fn label_of_key<Q>(&self, key: &Q) -> Option<usize>
+    where
+        K: Borrow<Q>,
+        Q: Ord + ?Sized,
+    {
+        let label = self.seek(key, Seek::AtOrAfter)?;
+        self.key_at(label).borrow().cmp(key).is_eq().then_some(label)
     }
 
     /// The key of rank `rank` (0-based, sorted order).
@@ -147,7 +271,7 @@ impl<K: Ord, V, L: RawList> LabelMap<K, V, L> {
     /// **Panics** if `rank >= len`; [`get_key_at_rank`](Self::get_key_at_rank)
     /// is the checked variant.
     pub fn key_at_rank(&self, rank: usize) -> &K {
-        &self.pair_at_rank(rank).0
+        self.key_at(self.list.label_of_rank(rank))
     }
 
     /// The key of rank `rank`, or `None` if `rank >= len` — the checked
@@ -162,16 +286,7 @@ impl<K: Ord, V, L: RawList> LabelMap<K, V, L> {
         K: Borrow<Q>,
         Q: Ord + ?Sized,
     {
-        let (mut lo, mut hi) = (0usize, self.len());
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if self.key_at_rank(mid).borrow() < key {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
+        self.rank_of_label(self.seek(key, Seek::AtOrAfter))
     }
 
     /// The rank of the first key > `key` (== `len` if no such key).
@@ -180,42 +295,19 @@ impl<K: Ord, V, L: RawList> LabelMap<K, V, L> {
         K: Borrow<Q>,
         Q: Ord + ?Sized,
     {
-        let (mut lo, mut hi) = (0usize, self.len());
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if self.key_at_rank(mid).borrow() <= key {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
-    }
-
-    /// The rank of `key` if present. Like `BTreeMap`, equality is judged
-    /// by `Ord::cmp` alone (never `PartialEq`), so keys whose `Eq`
-    /// disagrees with their ordering still behave consistently.
-    fn rank_of_key<Q>(&self, key: &Q) -> Option<usize>
-    where
-        K: Borrow<Q>,
-        Q: Ord + ?Sized,
-    {
-        let r = self.lower_bound(key);
-        (r < self.len() && self.key_at_rank(r).borrow().cmp(key).is_eq()).then_some(r)
+        self.rank_of_label(self.seek(key, Seek::After))
     }
 
     /// Insert `key → value`. Returns the previous value if the key was
     /// present (like `BTreeMap`, the entry keeps its position, handle, and
     /// originally stored key).
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
-        let rank = self.lower_bound(&key);
-        if rank < self.len() && self.key_at_rank(rank).cmp(&key).is_eq() {
-            let h = self.list.handle_at_rank(rank);
-            let entry = self.entry.get_mut(&h).expect("entry for live handle");
-            return Some(std::mem::replace(&mut entry.1, value));
+        let at = self.seek(&key, Seek::AtOrAfter);
+        if let Some(l) = at.filter(|&l| self.key_at(l).cmp(&key).is_eq()) {
+            return Some(std::mem::replace(self.value_at_mut(l), value));
         }
-        let h = self.list.insert(rank);
-        self.entry.insert(h, (key, value));
+        let rank = self.rank_of_label(at);
+        self.insert_at_rank(rank, (key, value));
         None
     }
 
@@ -235,7 +327,7 @@ impl<K: Ord, V, L: RawList> LabelMap<K, V, L> {
         K: Borrow<Q>,
         Q: Ord + ?Sized,
     {
-        self.rank_of_key(key).map(|r| &self.pair_at_rank(r).1)
+        self.label_of_key(key).and_then(|l| self.entry_at(l)).map(|(_, v)| v)
     }
 
     /// Mutable access to the value of `key`.
@@ -244,9 +336,8 @@ impl<K: Ord, V, L: RawList> LabelMap<K, V, L> {
         K: Borrow<Q>,
         Q: Ord + ?Sized,
     {
-        let r = self.rank_of_key(key)?;
-        let h = self.list.handle_at_rank(r);
-        self.entry.get_mut(&h).map(|(_, v)| v)
+        let l = self.label_of_key(key)?;
+        Some(self.value_at_mut(l))
     }
 
     /// True if `key` is present.
@@ -255,7 +346,7 @@ impl<K: Ord, V, L: RawList> LabelMap<K, V, L> {
         K: Borrow<Q>,
         Q: Ord + ?Sized,
     {
-        self.rank_of_key(key).is_some()
+        self.label_of_key(key).is_some()
     }
 
     /// Remove `key`, returning its value.
@@ -264,43 +355,31 @@ impl<K: Ord, V, L: RawList> LabelMap<K, V, L> {
         K: Borrow<Q>,
         Q: Ord + ?Sized,
     {
-        let rank = self.rank_of_key(key)?;
-        let h = self.list.delete(rank);
-        self.entry.remove(&h).map(|(_, v)| v)
+        let label = self.label_of_key(key)?;
+        let rank = self.list.rank_at_label(label);
+        Some(self.remove_at(label, rank).1)
     }
 
     /// The smallest entry.
     pub fn first_key_value(&self) -> Option<(&K, &V)> {
-        (!self.is_empty()).then(|| {
-            let (k, v) = self.pair_at_rank(0);
-            (k, v)
-        })
+        self.entry_at(self.list.first_label()?)
     }
 
     /// The largest entry.
     pub fn last_key_value(&self) -> Option<(&K, &V)> {
-        (!self.is_empty()).then(|| {
-            let (k, v) = self.pair_at_rank(self.len() - 1);
-            (k, v)
-        })
+        self.entry_at(self.list.last_label()?)
     }
 
     /// Remove and return the smallest entry.
     pub fn pop_first(&mut self) -> Option<(K, V)> {
-        if self.is_empty() {
-            return None;
-        }
-        let h = self.list.delete(0);
-        self.entry.remove(&h)
+        let label = self.list.first_label()?;
+        Some(self.remove_at(label, 0))
     }
 
     /// Remove and return the largest entry.
     pub fn pop_last(&mut self) -> Option<(K, V)> {
-        if self.is_empty() {
-            return None;
-        }
-        let h = self.list.delete(self.len() - 1);
-        self.entry.remove(&h)
+        let label = self.list.last_label()?;
+        Some(self.remove_at(label, self.len() - 1))
     }
 
     /// Remove every entry, keeping the backend (and its cost counters)
@@ -308,13 +387,14 @@ impl<K: Ord, V, L: RawList> LabelMap<K, V, L> {
     /// cost model, so this is O(n) plus at most O(n) shrink-rebuild moves.
     pub fn clear(&mut self) {
         while !self.is_empty() {
-            let h = self.list.delete(self.len() - 1);
-            self.entry.remove(&h);
+            self.list.delete(self.len() - 1);
         }
+        self.payload = free_slots(self.list.num_slots());
     }
 
     /// Consume the map into its entries, sorted ascending by key — the
-    /// shard **export** hook: the receiving side replays the run through
+    /// shard **export** hook: one sweep of the payload array, and the
+    /// receiving side replays the run through
     /// [`from_sorted_iter`](LabelMap::from_sorted_iter) /
     /// [`extend_sorted`](LabelMap::extend_sorted) in one O(n) sweep.
     pub fn into_sorted_vec(self) -> Vec<(K, V)> {
@@ -331,10 +411,17 @@ impl<K: Ord, V, L: RawList> LabelMap<K, V, L> {
     /// Panics if `at > len`.
     pub fn split_off_at_rank(&mut self, at: usize) -> Vec<(K, V)> {
         assert!(at <= self.len(), "split_off_at_rank {at} > len {}", self.len());
-        let mut tail = Vec::with_capacity(self.len() - at);
+        if at == self.len() {
+            return Vec::new();
+        }
+        // The tail is the suffix of the payload array from rank `at`'s
+        // label on: take it in one sweep, then delete its elements. Their
+        // payload slots are already empty, so the replays move nothing but
+        // the retained prefix.
+        let from = self.list.label_of_rank(at);
+        let tail: Vec<(K, V)> = self.payload[from..].iter_mut().filter_map(Option::take).collect();
         while self.len() > at {
-            let h = self.list.delete(at);
-            tail.push(self.entry.remove(&h).expect("entry for live handle"));
+            self.delete_rank(at);
         }
         tail
     }
@@ -362,8 +449,10 @@ impl<K: Ord, V, L: RawList> LabelMap<K, V, L> {
     }
 
     /// Iterate the entries with keys in `range`, in ascending key order —
-    /// physically, a left-to-right sweep of the backend's slot array. The
-    /// bounds accept any borrowed form of the key type.
+    /// physically, a left-to-right sweep of the payload array. The bounds
+    /// accept any borrowed form of the key type. Two label searches find
+    /// the ends, and at most two label→rank resolutions size the iterator,
+    /// however long the range.
     ///
     /// Unlike `BTreeMap::range`, an inverted range (start > end) yields an
     /// empty iterator instead of panicking.
@@ -374,24 +463,29 @@ impl<K: Ord, V, L: RawList> LabelMap<K, V, L> {
         R: RangeBounds<Q>,
     {
         let start = match range.start_bound() {
-            Bound::Included(k) => self.lower_bound(k),
-            Bound::Excluded(k) => self.upper_bound(k),
-            Bound::Unbounded => 0,
+            Bound::Included(k) => self.seek(k, Seek::AtOrAfter),
+            Bound::Excluded(k) => self.seek(k, Seek::After),
+            Bound::Unbounded => self.list.first_label(),
         };
         let end = match range.end_bound() {
-            Bound::Included(k) => self.upper_bound(k),
-            Bound::Excluded(k) => self.lower_bound(k),
-            Bound::Unbounded => self.len(),
+            Bound::Included(k) => self.seek(k, Seek::After),
+            Bound::Excluded(k) => self.seek(k, Seek::AtOrAfter),
+            Bound::Unbounded => None,
         };
-        Range { map: self, next: start, end: end.max(start) }
+        let (start, end_label) = match (start, end) {
+            (Some(s), Some(e)) if s < e => (s, e),
+            (Some(s), None) => (s, self.payload.len()),
+            _ => return Range { inner: Iter::over(&[], 0) },
+        };
+        let count = self.rank_of_label(end) - self.list.rank_at_label(start);
+        Range { inner: Iter::over(&self.payload[start..end_label], count) }
     }
 
-    /// Iterate all entries in ascending key order — a label-to-label walk
-    /// of the backend's occupancy structure, allocating nothing and
-    /// resolving no ranks per step (unlike [`range`](Self::range), which
-    /// resolves ranks lazily so it can stay cheap on small sub-ranges).
+    /// Iterate all entries in ascending key order — one left-to-right
+    /// sweep of the payload array, allocating nothing and resolving no
+    /// ranks.
     pub fn iter(&self) -> Iter<'_, K, V, L> {
-        Iter { map: self, label: self.list.first_label(), remaining: self.len() }
+        Iter::over(&self.payload, self.len())
     }
 
     /// Iterate keys in ascending order.
@@ -417,16 +511,14 @@ impl<K: Ord, V, L: RawList> LabelMap<K, V, L> {
     }
 
     /// A read-only cursor parked on the first entry with key ≥ `key`
-    /// (exhausted if every key is smaller). One rank→label resolution at
-    /// creation; stepping is label-native from there.
+    /// (exhausted if every key is smaller). One label search at creation,
+    /// no rank resolution; stepping is label-native from there.
     pub fn cursor_at<Q>(&self, key: &Q) -> MapCursor<'_, K, V, L>
     where
         K: Borrow<Q>,
         Q: Ord + ?Sized,
     {
-        let rank = self.lower_bound(key);
-        let label = (rank < self.len()).then(|| self.list.label_of_rank(rank));
-        MapCursor::new(self, label)
+        MapCursor::new(self, self.seek(key, Seek::AtOrAfter))
     }
 
     /// Merge a batch of entries **sorted ascending by key** in bulk: runs of
@@ -453,26 +545,30 @@ impl<K: Ord, V, L: RawList> LabelMap<K, V, L> {
             }
         });
         let mut pending: Vec<(K, V)> = Vec::new();
+        // The label of the key just above the open gap (`None`: the gap is
+        // the tail) and the rank the run will land at.
+        let mut successor: Option<usize> = None;
         let mut pending_rank = 0usize;
         for (k, v) in batch {
             if !pending.is_empty() {
                 // Still strictly below the successor of the open gap?
-                let continues =
-                    pending_rank >= self.len() || k.cmp(self.key_at_rank(pending_rank)).is_lt();
-                if continues {
+                if successor.is_none_or(|l| k.cmp(self.key_at(l)).is_lt()) {
                     pending.push((k, v));
                     continue;
                 }
                 self.splice_pending(pending_rank, &mut pending);
             }
-            let rank = self.lower_bound(&k);
-            if rank < self.len() && self.key_at_rank(rank).cmp(&k).is_eq() {
-                // Existing key: replace the value, keep position and handle.
-                let h = self.list.handle_at_rank(rank);
-                self.entry.get_mut(&h).expect("entry for live handle").1 = v;
-            } else {
-                pending_rank = rank;
-                pending.push((k, v));
+            let at = self.seek(&k, Seek::AtOrAfter);
+            match at {
+                Some(l) if self.key_at(l).cmp(&k).is_eq() => {
+                    // Existing key: replace the value, keep position and handle.
+                    *self.value_at_mut(l) = v;
+                }
+                _ => {
+                    successor = at;
+                    pending_rank = self.rank_of_label(at);
+                    pending.push((k, v));
+                }
             }
         }
         if !pending.is_empty() {
@@ -480,13 +576,124 @@ impl<K: Ord, V, L: RawList> LabelMap<K, V, L> {
         }
     }
 
+    /// Verify the payload array mirrors the backend: `num_slots` long,
+    /// `Some` exactly at the occupied labels, keys strictly ascending in
+    /// label order. O(slots); used by tests.
+    pub fn check_payload(&self) {
+        assert_eq!(self.payload.len(), self.list.num_slots(), "payload length != slot count");
+        let mut label = self.list.first_label();
+        let mut prev: Option<&K> = None;
+        let mut occupied = 0;
+        while let Some(l) = label {
+            let (k, _) =
+                self.entry_at(l).unwrap_or_else(|| panic!("occupied label {l} has no entry"));
+            assert!(prev.is_none_or(|p| p < k), "keys not ascending at label {l}");
+            prev = Some(k);
+            occupied += 1;
+            label = self.list.next_label_after(l);
+        }
+        assert_eq!(occupied, self.len(), "occupied labels != len");
+        let entries = self.payload.iter().filter(|s| s.is_some()).count();
+        assert_eq!(entries, occupied, "entries stored at free labels");
+    }
+
+    /// Insert `entry` as the element of `rank` and mirror the move log.
+    fn insert_at_rank(&mut self, rank: usize, entry: (K, V)) {
+        let epoch = self.list.epoch();
+        let mut rep = std::mem::take(&mut self.scratch);
+        self.list.insert_reported_into(rank, &mut rep);
+        if self.list.epoch() != epoch {
+            // The growth rebuild ran before the insert: the report covers
+            // only the insert into the fresh structure.
+            self.rebuild_payload(rank, std::iter::once(entry));
+        } else {
+            let mut entry = Some(entry);
+            for mv in &rep.moves {
+                let (from, to) = (mv.from as usize, mv.to as usize);
+                if from == to {
+                    // The new element's placement, at its point in the log:
+                    // later moves in the same log may carry it on.
+                    debug_assert!(self.payload[to].is_none(), "placement into a live slot");
+                    self.payload[to] = entry.take();
+                } else {
+                    self.payload[to] = self.payload[from].take();
+                }
+            }
+            debug_assert!(entry.is_none(), "insert logged no placement");
+        }
+        self.scratch = rep;
+    }
+
+    /// Remove the element at `label` (of rank `rank`), returning its entry.
+    fn remove_at(&mut self, label: usize, rank: usize) -> (K, V) {
+        let entry = self.payload[label].take().expect("payload mirrors occupancy");
+        self.delete_rank(rank);
+        entry
+    }
+
+    /// Delete the element of `rank` from the backend and mirror the move
+    /// log. The caller has already taken its entry, so any move of it
+    /// carries an empty slot.
+    fn delete_rank(&mut self, rank: usize) {
+        let epoch = self.list.epoch();
+        let mut rep = std::mem::take(&mut self.scratch);
+        self.list.delete_reported_into(rank, &mut rep);
+        if self.list.epoch() != epoch {
+            self.rebuild_payload(0, std::iter::empty());
+        } else {
+            self.replay(&rep.moves);
+        }
+        self.scratch = rep;
+    }
+
     /// Land an accumulated run of brand-new keys as one backend splice.
     fn splice_pending(&mut self, rank: usize, run: &mut Vec<(K, V)>) {
-        let (handles, _) = self.list.splice_reported(rank, run.len());
-        debug_assert_eq!(handles.len(), run.len());
-        for (h, kv) in handles.into_iter().zip(run.drain(..)) {
-            self.entry.insert(h, kv);
+        let epoch = self.list.epoch();
+        let (_, bulk): (_, BulkReport) = self.list.splice_reported(rank, run.len());
+        if self.list.epoch() != epoch {
+            self.rebuild_payload(rank, run.drain(..));
+            return;
         }
+        // Placements are skipped (the new elements have no payload yet);
+        // after the replay the run occupies ranks rank.. contiguously.
+        self.replay(&bulk.moves);
+        let mut label = Some(self.list.label_of_rank(rank));
+        for entry in run.drain(..) {
+            let l = label.expect("splice placed every element");
+            self.payload[l] = Some(entry);
+            label = self.list.next_label_after(l);
+        }
+    }
+
+    /// Apply a move log to the payload array, in order. Placements
+    /// (`from == to`) are left to the caller.
+    fn replay(&mut self, moves: &[MoveRec]) {
+        for mv in moves {
+            if mv.from != mv.to {
+                self.payload[mv.to as usize] = self.payload[mv.from as usize].take();
+            }
+        }
+    }
+
+    /// After a rebuild: lay the surviving entries, in label order, with
+    /// `run` spliced in at `rank`, over the new structure's occupied labels
+    /// — one O(n) pass that writes each slot once. Labels past the last
+    /// entry stay empty (the shard split deletes such payload-less elements
+    /// next).
+    fn rebuild_payload(&mut self, rank: usize, mut run: impl ExactSizeIterator<Item = (K, V)>) {
+        let slots = self.list.num_slots();
+        let old = std::mem::replace(&mut self.payload, Vec::with_capacity(slots));
+        let mut old = old.into_iter().flatten();
+        let run_end = rank + run.len();
+        let mut label = self.list.first_label();
+        let mut r = 0;
+        while let Some(l) = label {
+            self.payload.resize_with(l, || None);
+            self.payload.push(if (rank..run_end).contains(&r) { run.next() } else { old.next() });
+            label = self.list.next_label_after(l);
+            r += 1;
+        }
+        self.payload.resize_with(slots, || None);
     }
 }
 
@@ -581,23 +788,30 @@ impl<'a, K: Ord, V, L: RawList> IntoIterator for &'a LabelMap<K, V, L> {
 }
 
 /// Iterator over all entries of a [`LabelMap`] in ascending key order (see
-/// [`LabelMap::iter`]): a label-to-label occupancy walk, O(1) space.
+/// [`LabelMap::iter`]): a left-to-right sweep of the payload array, O(1)
+/// space.
 pub struct Iter<'a, K: Ord, V, L: RawList> {
-    map: &'a LabelMap<K, V, L>,
-    label: Option<usize>,
+    slots: std::slice::Iter<'a, Option<(K, V)>>,
     remaining: usize,
+    _list: PhantomData<&'a L>,
+}
+
+impl<'a, K: Ord, V, L: RawList> Iter<'a, K, V, L> {
+    /// The `remaining` entries stored in `slots`, in order.
+    fn over(slots: &'a [Option<(K, V)>], remaining: usize) -> Self {
+        Self { slots: slots.iter(), remaining, _list: PhantomData }
+    }
 }
 
 impl<'a, K: Ord, V, L: RawList> Iterator for Iter<'a, K, V, L> {
     type Item = (&'a K, &'a V);
 
     fn next(&mut self) -> Option<Self::Item> {
-        let l = self.label?;
-        let h = self.map.list.handle_at_label(l)?;
-        self.label = self.map.list.next_label_after(l);
+        if self.remaining == 0 {
+            return None;
+        }
         self.remaining -= 1;
-        let (k, v) = self.map.pair_of(h);
-        Some((k, v))
+        self.slots.find_map(|s| s.as_ref().map(|(k, v)| (k, v)))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -612,33 +826,34 @@ impl<K: Ord, V, L: RawList> IntoIterator for LabelMap<K, V, L> {
     type IntoIter = IntoIter<K, V, L>;
 
     /// Consume the map, yielding owned entries in ascending key order —
-    /// the same O(1)-space occupancy walk as [`LabelMap::iter`], over the
-    /// moved-in backend.
+    /// the same sweep of the payload array as [`LabelMap::iter`]; the
+    /// backend is dropped up front.
     fn into_iter(self) -> Self::IntoIter {
-        let label = self.list.first_label();
-        IntoIter { list: self.list, label, entry: self.entry }
+        let remaining = self.len();
+        IntoIter { slots: self.payload.into_iter(), remaining, _list: PhantomData }
     }
 }
 
 /// Owning iterator over a [`LabelMap`]'s entries in ascending key order.
 pub struct IntoIter<K, V, L: RawList = ErasedList> {
-    list: L,
-    label: Option<usize>,
-    entry: HashMap<Handle, (K, V)>,
+    slots: std::vec::IntoIter<Option<(K, V)>>,
+    remaining: usize,
+    _list: PhantomData<fn() -> L>,
 }
 
 impl<K, V, L: RawList> Iterator for IntoIter<K, V, L> {
     type Item = (K, V);
 
     fn next(&mut self) -> Option<Self::Item> {
-        let l = self.label?;
-        let h = self.list.handle_at_label(l)?;
-        self.label = self.list.next_label_after(l);
-        self.entry.remove(&h)
+        if self.remaining == 0 {
+            return None;
+        }
+        self.remaining -= 1;
+        self.slots.find_map(|s| s)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.entry.len(), Some(self.entry.len()))
+        (self.remaining, Some(self.remaining))
     }
 }
 
@@ -650,28 +865,21 @@ impl<K: Ord + fmt::Debug, V: fmt::Debug, L: RawList> fmt::Debug for LabelMap<K, 
     }
 }
 
-/// Iterator over a key range of a [`LabelMap`], in ascending key order.
+/// Iterator over a key range of a [`LabelMap`], in ascending key order: a
+/// sweep of the payload array between the range's end labels.
 pub struct Range<'a, K: Ord, V, L: RawList> {
-    map: &'a LabelMap<K, V, L>,
-    next: usize,
-    end: usize,
+    inner: Iter<'a, K, V, L>,
 }
 
 impl<'a, K: Ord, V, L: RawList> Iterator for Range<'a, K, V, L> {
     type Item = (&'a K, &'a V);
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.next >= self.end {
-            return None;
-        }
-        let (k, v) = self.map.pair_at_rank(self.next);
-        self.next += 1;
-        Some((k, v))
+        self.inner.next()
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.end - self.next;
-        (n, Some(n))
+        self.inner.size_hint()
     }
 }
 

@@ -14,8 +14,9 @@
 //!   lands a whole run as one backend sweep.
 //! * [`LabelMap<K, V>`](LabelMap) — a keyed sorted map (`insert` / `get` /
 //!   `remove` / `range` / `iter`, with `BTreeMap`-style borrowed-key
-//!   lookups) that keeps keys physically sorted in one slot array, so
-//!   range scans are contiguous memory sweeps. Sorted ingest takes the
+//!   lookups) that keeps its entries physically sorted in an array
+//!   indexed by the backend's labels, so searches probe labels and range
+//!   scans are contiguous memory sweeps. Sorted ingest takes the
 //!   O(n) bulk path: [`LabelMap::from_sorted_iter`] and sorted
 //!   [`extend`](Extend::extend) merge runs in evenly-spread sweeps instead
 //!   of point insertions.

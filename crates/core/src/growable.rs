@@ -146,17 +146,26 @@ impl<B: LabelingBuilder> Growable<B> {
         self.handle_of.get(&elem).copied()
     }
 
+    /// Number of slots (labels run over `0..num_slots`) in the current
+    /// epoch; a rebuild may change it.
+    pub fn num_slots(&self) -> usize {
+        self.inner.slots().num_slots()
+    }
+
     /// The rank of the element whose label (slot position) is `label`.
     pub fn rank_at_label(&self, label: usize) -> usize {
         self.metrics.note_rank_resolution();
         self.inner.slots().rank_at(label)
     }
 
-    /// How many label→rank resolutions ([`rank_at_label`]) this structure
-    /// has served. Cursors navigate the occupancy structure label-to-label
-    /// and perform none per step; tests pin that here.
+    /// How many rank↔label resolutions ([`rank_at_label`],
+    /// [`label_of_rank`], [`handle_at_rank`]) this structure has served.
+    /// Cursors navigate the occupancy structure label-to-label and perform
+    /// none per step; tests pin that here.
     ///
     /// [`rank_at_label`]: Self::rank_at_label
+    /// [`label_of_rank`]: Self::label_of_rank
+    /// [`handle_at_rank`]: Self::handle_at_rank
     pub fn rank_resolutions(&self) -> u64 {
         self.metrics.rank_resolutions.get()
     }
@@ -231,11 +240,13 @@ impl<B: LabelingBuilder> Growable<B> {
     /// The label (slot position) of the element of `rank`. Labels are only
     /// stable between operations, as in any list-labeling structure.
     pub fn label_of_rank(&self, rank: usize) -> usize {
+        self.metrics.note_rank_resolution();
         self.inner.label_of_rank(rank)
     }
 
     /// The handle of the element of `rank`.
     pub fn handle_at_rank(&self, rank: usize) -> Handle {
+        self.metrics.note_rank_resolution();
         self.handle_of[&self.inner.elem_at_rank(rank)]
     }
 

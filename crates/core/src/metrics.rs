@@ -45,7 +45,7 @@ pub struct ListMetrics {
     pub rebalances: Counter,
     /// Occupancy-bitmap words touched by window scans.
     pub scan_words: Counter,
-    /// Label → rank resolutions served.
+    /// Rank ↔ label resolutions served.
     pub rank_resolutions: Counter,
     /// Capacity-changing rebuilds (each invalidates outstanding labels).
     pub epoch_bumps: Counter,
@@ -150,7 +150,7 @@ impl ListMetrics {
         }
     }
 
-    /// One label → rank resolution.
+    /// One rank ↔ label resolution.
     // lll-check: no-alloc
     #[inline]
     pub fn note_rank_resolution(&self) {

@@ -1,13 +1,15 @@
 //! One connection's request loop: wait for a frame, dispatch the verb,
 //! flush the response, repeat — closing only at request boundaries.
 //!
-//! Idle waiting is a `peek` under the configured read timeout, so a
-//! connection parked between requests notices a drain within one poll
-//! interval **without** consuming stream bytes; once the first byte of a
-//! frame is visible, the frame is read to completion (the frame layer's
-//! reads preserve progress across timeouts), processed, and answered —
-//! a drain never tears a response in half and never drops a request the
-//! server already started reading.
+//! The read half is buffered: a request costs one `read` syscall in the
+//! common case (the whole frame arrives in the buffer at once), not one
+//! per header field. Idle waiting is a `fill_buf` under the configured
+//! read timeout, so a connection parked between requests notices a drain
+//! within one poll interval, and bytes that did arrive stay in the
+//! buffer; once the first byte of a frame is visible, the frame is read
+//! to completion (the frame layer's reads preserve progress across
+//! timeouts), processed, and answered — a drain never tears a response in
+//! half and never drops a request the server already started reading.
 
 use crate::frame::{read_frame, WireError};
 use crate::proto::{
@@ -17,7 +19,7 @@ use crate::proto::{
 use crate::server::{KvMap, Shared};
 use lll_obs::{push_meta, push_sample, TraceKind};
 use std::fs::File;
-use std::io::{BufWriter, ErrorKind, Write as _};
+use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Write as _};
 use std::net::TcpStream;
 use std::ops::Bound;
 use std::sync::atomic::Ordering;
@@ -34,12 +36,12 @@ pub(crate) fn serve(stream: TcpStream, shared: &Shared) {
         return;
     };
     let mut writer = BufWriter::new(write_half);
-    let reader = stream;
+    let mut reader = BufReader::new(stream);
     loop {
-        if !wait_for_request(&reader, shared) {
+        if !wait_for_request(&mut reader, shared) {
             break;
         }
-        let request = match read_frame(&mut &reader).and_then(|f| Request::from_frame(&f)) {
+        let request = match read_frame(&mut reader).and_then(|f| Request::from_frame(&f)) {
             Ok(req) => req,
             Err(e) => {
                 // A malformed frame desynchronizes the stream: answer with
@@ -69,14 +71,13 @@ pub(crate) fn serve(stream: TcpStream, shared: &Shared) {
     shared.active_conns.fetch_sub(1, Ordering::SeqCst);
 }
 
-/// Park until a frame's first byte is visible (true), the peer closes or
+/// Park until a frame's first byte is buffered (true), the peer closes or
 /// errors (false), or a drain begins while the connection is idle
-/// (false). `peek` never consumes, so returning early loses nothing.
-fn wait_for_request(stream: &TcpStream, shared: &Shared) -> bool {
-    let mut probe = [0u8; 1];
+/// (false). `fill_buf` consumes nothing, so returning early loses nothing.
+fn wait_for_request(reader: &mut BufReader<TcpStream>, shared: &Shared) -> bool {
     loop {
-        match stream.peek(&mut probe) {
-            Ok(0) => return false,
+        match reader.fill_buf() {
+            Ok([]) => return false,
             Ok(_) => return true,
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                 if shared.draining.load(Ordering::SeqCst) {

@@ -2,12 +2,15 @@
 //! worker threads, each serving one connection at a time.
 //!
 //! The workspace builds offline — no tokio — so concurrency is the
-//! classic thread-per-connection shape with a hard cap: `workers` threads
-//! serve connections; up to `pending_conns` accepted sockets wait in a
-//! queue; past that, new connections are refused with a typed `Error`
-//! frame instead of an unbounded backlog. Idle workers park on a condvar;
-//! idle connections park in a short read-timeout poll so a drain is
-//! noticed within [`ServerConfig::idle_poll`] even with no traffic.
+//! classic thread-per-connection shape with a hard cap: at most `workers`
+//! threads serve connections; up to `pending_conns` accepted sockets wait
+//! in a queue; past that, new connections are refused with a typed
+//! `Error` frame instead of an unbounded backlog. Workers start lazily:
+//! the accept loop spawns one only when the queued connections outnumber
+//! the idle workers, so a server that never sees more than one connection
+//! at a time runs one worker. Idle workers park on a condvar; idle
+//! connections park in a short read-timeout poll so a drain is noticed
+//! within [`ServerConfig::idle_poll`] even with no traffic.
 //!
 //! # Drain protocol
 //!
@@ -20,7 +23,8 @@
 //!    never mid-response,
 //! 4. optionally streams a final snapshot under the maintenance barrier.
 //!
-//! [`ServerHandle::join`] then reaps every thread. Responses already owed
+//! [`ServerHandle::join`] then reaps every thread, the lazily spawned
+//! workers included. Responses already owed
 //! are never dropped: the connection loop re-checks the flag only after
 //! the current response is flushed.
 
@@ -32,7 +36,7 @@ use lll_wal::{DurableMap, DurableOptions, DurableRecovery, WalError};
 use std::collections::VecDeque;
 use std::io::{self, BufWriter, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
@@ -51,6 +55,7 @@ pub struct ServerConfig {
     /// Address to bind (`"127.0.0.1:0"` picks an ephemeral port).
     pub addr: String,
     /// Worker threads — the cap on concurrently *served* connections.
+    /// Workers are spawned on demand, up to this cap.
     pub workers: usize,
     /// Accepted-but-unserved connection queue cap; past it, connections
     /// are refused with a typed busy `Error` frame.
@@ -185,8 +190,19 @@ pub(crate) struct Shared {
     pub(crate) served_requests: AtomicU64,
     pub(crate) refused_conns: AtomicU64,
     pub(crate) obs: ServerObs,
-    queue: Mutex<VecDeque<TcpStream>>,
+    /// Worker threads spawned so far (never above `cfg.workers`).
+    spawned_workers: AtomicUsize,
+    queue: Mutex<Queue>,
     queue_cv: Condvar,
+}
+
+/// Accepted connections waiting for a worker, and how many workers are
+/// parked waiting for one — the accept loop spawns a worker only when the
+/// first outnumbers the second.
+#[derive(Default)]
+struct Queue {
+    conns: VecDeque<TcpStream>,
+    idle: usize,
 }
 
 impl Shared {
@@ -202,19 +218,51 @@ impl Shared {
     fn pop_conn(&self) -> Option<TcpStream> {
         let mut q = self.queue.lock().unwrap_or_else(|e| e.into_inner());
         loop {
-            if let Some(stream) = q.pop_front() {
+            if let Some(stream) = q.conns.pop_front() {
                 return Some(stream);
             }
             if self.draining.load(Ordering::SeqCst) {
                 return None;
             }
+            q.idle += 1;
             q = self
                 .queue_cv
                 .wait_timeout(q, self.cfg.idle_poll)
                 .unwrap_or_else(|e| e.into_inner())
                 .0;
+            q.idle -= 1;
         }
     }
+
+    /// Queue an accepted connection, or refuse it at the `pending_conns`
+    /// cap. Returns true if a worker should be spawned for it: the queued
+    /// connections outnumber the idle workers and the cap allows one more.
+    fn enqueue(&self, stream: TcpStream) -> bool {
+        let mut q = self.queue.lock().unwrap_or_else(|e| e.into_inner());
+        if q.conns.len() >= self.cfg.pending_conns {
+            drop(q);
+            self.refused_conns.fetch_add(1, Ordering::Relaxed);
+            refuse(stream);
+            return false;
+        }
+        q.conns.push_back(stream);
+        let spawn = q.conns.len() > q.idle
+            && self.spawned_workers.load(Ordering::SeqCst) < self.cfg.workers.max(1);
+        drop(q);
+        self.queue_cv.notify_one();
+        spawn
+    }
+}
+
+/// Start worker number `i`: serve queued connections until a drain
+/// empties the queue.
+fn spawn_worker(shared: &Arc<Shared>, i: usize) -> io::Result<JoinHandle<()>> {
+    let shared = Arc::clone(shared);
+    thread::Builder::new().name(format!("lll-server-worker-{i}")).spawn(move || {
+        while let Some(stream) = shared.pop_conn() {
+            conn::serve(stream, &shared);
+        }
+    })
 }
 
 /// The running server: a factory with one entry point, [`Server::start`].
@@ -256,7 +304,6 @@ impl Server {
     ) -> io::Result<ServerHandle> {
         let listener = TcpListener::bind(resolve(&cfg.addr)?)?;
         let addr = listener.local_addr()?;
-        let workers = cfg.workers.max(1);
         let obs = ServerObs::new(&map, durable.as_deref());
         let shared = Arc::new(Shared {
             map,
@@ -268,45 +315,36 @@ impl Server {
             served_requests: AtomicU64::new(0),
             refused_conns: AtomicU64::new(0),
             obs,
-            queue: Mutex::new(VecDeque::new()),
+            spawned_workers: AtomicUsize::new(0),
+            queue: Mutex::new(Queue::default()),
             queue_cv: Condvar::new(),
         });
 
-        let mut threads = Vec::with_capacity(workers + 1);
-        for i in 0..workers {
+        // The accept loop is the only spawner; it hands the workers it
+        // started back to `join`.
+        let accept = {
             let shared = Arc::clone(&shared);
-            threads.push(thread::Builder::new().name(format!("lll-server-worker-{i}")).spawn(
-                move || {
-                    while let Some(stream) = shared.pop_conn() {
-                        conn::serve(stream, &shared);
+            thread::Builder::new().name("lll-server-accept".into()).spawn(move || {
+                let mut workers = Vec::new();
+                for stream in listener.incoming() {
+                    if shared.draining.load(Ordering::SeqCst) {
+                        break;
                     }
-                },
-            )?);
-        }
-        {
-            let shared = Arc::clone(&shared);
-            threads.push(thread::Builder::new().name("lll-server-accept".into()).spawn(
-                move || {
-                    for stream in listener.incoming() {
-                        if shared.draining.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        let Ok(stream) = stream else { continue };
-                        let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-                        if q.len() >= shared.cfg.pending_conns {
-                            drop(q);
-                            shared.refused_conns.fetch_add(1, Ordering::Relaxed);
-                            refuse(stream);
-                        } else {
-                            q.push_back(stream);
-                            drop(q);
-                            shared.queue_cv.notify_one();
+                    let Ok(stream) = stream else { continue };
+                    if shared.enqueue(stream) {
+                        // A failed spawn leaves the connection queued: a
+                        // running worker takes it, or the next accepted
+                        // connection tries the spawn again.
+                        if let Ok(worker) = spawn_worker(&shared, workers.len()) {
+                            workers.push(worker);
+                            shared.spawned_workers.fetch_add(1, Ordering::SeqCst);
                         }
                     }
-                },
-            )?);
-        }
-        Ok(ServerHandle { shared, threads: Some(threads) })
+                }
+                workers
+            })?
+        };
+        Ok(ServerHandle { shared, accept: Some(accept) })
     }
 }
 
@@ -330,7 +368,8 @@ fn refuse(stream: TcpStream) {
 /// serving) — tests and binaries should drain explicitly.
 pub struct ServerHandle {
     shared: Arc<Shared>,
-    threads: Option<Vec<JoinHandle<()>>>,
+    /// The accept loop; it returns the worker threads it spawned.
+    accept: Option<JoinHandle<Vec<JoinHandle<()>>>>,
 }
 
 impl ServerHandle {
@@ -362,6 +401,13 @@ impl ServerHandle {
         self.shared.served_requests.load(Ordering::Relaxed)
     }
 
+    /// Worker threads spawned so far: workers start on demand, so this
+    /// stays below [`ServerConfig::workers`] until that many connections
+    /// have been served at once.
+    pub fn spawned_workers(&self) -> usize {
+        self.shared.spawned_workers.load(Ordering::SeqCst)
+    }
+
     /// Connections refused at the pending-queue cap so far.
     pub fn refused_conns(&self) -> u64 {
         self.shared.refused_conns.load(Ordering::Relaxed)
@@ -373,13 +419,13 @@ impl ServerHandle {
         self.shared.begin_drain();
     }
 
-    /// Wait for the accept loop and every worker to exit. Call after
-    /// [`drain`](Self::drain) (joining a non-draining server blocks until
-    /// someone else drains it).
+    /// Wait for the accept loop and every worker it spawned to exit. Call
+    /// after [`drain`](Self::drain) (joining a non-draining server blocks
+    /// until someone else drains it).
     pub fn join(&mut self) {
-        if let Some(threads) = self.threads.take() {
-            for t in threads {
-                let _ = t.join();
+        if let Some(accept) = self.accept.take() {
+            for worker in accept.join().unwrap_or_default() {
+                let _ = worker.join();
             }
         }
     }

@@ -249,6 +249,68 @@ fn drain_under_load_drops_no_acked_response() {
 }
 
 #[test]
+fn one_connection_starts_one_of_eight_workers() {
+    let cfg = ServerConfig::default();
+    assert_eq!(cfg.workers, 8);
+    let mut server = Server::start(small_shards(), cfg).expect("bind ephemeral port");
+    assert_eq!(server.spawned_workers(), 0, "no connection yet, no worker");
+    let mut c = Client::connect(server.local_addr()).unwrap();
+    for i in 0..50 {
+        let (k, v) = kv(i);
+        c.insert(&k, &v).unwrap();
+    }
+    assert_eq!(c.health().unwrap().served_requests, 51);
+    assert_eq!(server.spawned_workers(), 1, "one connection needs one worker");
+    drop(c);
+    server.shutdown();
+}
+
+#[test]
+fn as_many_connections_as_workers_are_served_at_once() {
+    const WORKERS: usize = 4;
+    let cfg = ServerConfig { workers: WORKERS, ..ServerConfig::default() };
+    let mut server = Server::start(small_shards(), cfg).expect("bind ephemeral port");
+    let addr = server.local_addr();
+    // Each connection holds its worker until it closes, so every client
+    // below is answered only if `WORKERS` workers run at the same time. A
+    // helper thread does the talking, so a missing worker fails the test
+    // by timeout instead of hanging it.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let clients = thread::spawn(move || {
+        let mut open = Vec::new();
+        for i in 0..WORKERS {
+            let mut c = Client::connect(addr).expect("connect");
+            let health = c.health().expect("health");
+            tx.send((i, health.active_conns)).expect("report");
+            open.push(c);
+        }
+        open
+    });
+    for i in 0..WORKERS {
+        let (j, active) = rx.recv_timeout(Duration::from_secs(20)).expect("connection not served");
+        assert_eq!((j, active), (i, i as u64 + 1), "all earlier connections stay open");
+    }
+    let mut open = clients.join().expect("client thread");
+    assert_eq!(server.spawned_workers(), WORKERS);
+
+    // One connection past the cap waits in the queue, spawning nothing,
+    // until a served connection closes and frees its worker.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let extra = thread::spawn(move || {
+        let mut c = Client::connect(addr).expect("connect");
+        tx.send(c.health().is_ok()).expect("report");
+    });
+    assert!(rx.recv_timeout(Duration::from_millis(200)).is_err(), "served past the worker cap");
+    assert_eq!(server.spawned_workers(), WORKERS, "spawned past the worker cap");
+    drop(open.pop());
+    assert!(rx.recv_timeout(Duration::from_secs(20)).expect("queued connection not served"));
+    extra.join().expect("extra client");
+    drop(open);
+    server.shutdown();
+    assert_eq!(server.spawned_workers(), WORKERS);
+}
+
+#[test]
 fn drain_verb_with_final_snapshot() {
     let mut server = start(small_shards());
     let mut c = Client::connect(server.local_addr()).unwrap();

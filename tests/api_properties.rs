@@ -14,13 +14,18 @@ use proptest::prelude::*;
 use std::collections::BTreeMap;
 
 /// One differential step: same command stream against [`LabelMap`] and the
-/// standard-library model, with equality asserted after every command.
+/// standard-library model, with equality and the payload array's layout
+/// ([`LabelMap::check_payload`]) asserted after every command. Besides
+/// point operations and ranges, the stream splices sorted runs and splits
+/// the map, dropping or re-appending the tail — so it crosses growth and
+/// shrink rebuilds, in-place splices and growth splices.
 fn check_map_against_btreemap(backend: Backend, cmds: &[(u8, u16, u32)]) {
-    let mut map: LabelMap<u16, u32> = ListBuilder::new().backend(backend).seed(0xD1FF).label_map();
+    let builder = ListBuilder::new().backend(backend).seed(0xD1FF);
+    let mut map: LabelMap<u16, u32> = builder.label_map();
     let mut model: BTreeMap<u16, u32> = BTreeMap::new();
     for &(sel, key, val) in cmds {
         let key = key % 512; // densify the key space so removes and hits land
-        match sel % 5 {
+        match sel % 7 {
             0 | 1 => {
                 assert_eq!(
                     map.insert(key, val),
@@ -45,14 +50,44 @@ fn check_map_against_btreemap(backend: Backend, cmds: &[(u8, u16, u32)]) {
                     backend.name()
                 );
             }
-            _ => {
+            4 => {
                 let hi = key.saturating_add(64);
                 let got: Vec<(u16, u32)> = map.range(key..hi).map(|(k, v)| (*k, *v)).collect();
                 let want: Vec<(u16, u32)> = model.range(key..hi).map(|(k, v)| (*k, *v)).collect();
                 assert_eq!(got, want, "[{}] range({key}..{hi}) diverged", backend.name());
+                assert_eq!(map.range(key..hi).len(), want.len(), "[{}] range len", backend.name());
+            }
+            5 => {
+                // A sorted run of up to 96 keys: new keys splice, present
+                // keys are overwritten in place.
+                let step = (val % 3 + 1) as usize;
+                let run: Vec<(u16, u32)> =
+                    (key..512).step_by(step).take((val % 97) as usize).map(|k| (k, val)).collect();
+                map.extend_sorted(run.clone());
+                model.extend(run);
+            }
+            _ => {
+                let tail = map.split_off(&key);
+                let model_tail = model.split_off(&key);
+                assert!(
+                    tail.iter().copied().eq(model_tail.iter().map(|(k, v)| (*k, *v))),
+                    "[{}] split_off({key}) diverged",
+                    backend.name()
+                );
+                map.check_payload();
+                if val % 2 == 0 {
+                    let mut other: LabelMap<u16, u32> = builder.label_map();
+                    other.extend_sorted(tail);
+                    other.check_payload();
+                    map.append(&mut other);
+                    assert!(other.is_empty());
+                    other.check_payload();
+                    model.extend(model_tail);
+                }
             }
         }
         assert_eq!(map.len(), model.len(), "[{}] len diverged", backend.name());
+        map.check_payload();
     }
     // Final full-structure agreement.
     let got: Vec<(u16, u32)> = map.iter().map(|(k, v)| (*k, *v)).collect();
@@ -102,6 +137,70 @@ proptest! {
     fn label_map_matches_btreemap_corollary12(cmds in cmd_seq(400)) {
         check_map_against_btreemap(Backend::Corollary12, &cmds);
     }
+}
+
+/// The differential's command mix, run deterministically until every
+/// payload-maintenance path has fired on every backend: growth and shrink
+/// rebuilds, and the splice paths.
+#[test]
+fn label_map_payload_tracks_every_rebuild_path() {
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let cmds: Vec<(u8, u16, u32)> = (0..1500)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            ((x >> 8) as u8, (x >> 16) as u16, (x >> 32) as u32)
+        })
+        .collect();
+    for backend in Backend::ALL {
+        check_map_against_btreemap(backend, &cmds);
+        let mut map: LabelMap<u16, u32> = ListBuilder::new().backend(backend).label_map();
+        map.extend_sorted((0..600).map(|k| (k, 0)).collect());
+        map.split_off(&40);
+        map.check_payload();
+        let stats = map.grow_stats();
+        assert!(stats.grows >= 1 && stats.shrinks >= 1, "[{}] {stats:?}", backend.name());
+    }
+}
+
+/// Searches walk labels, not ranks: `get`/`contains_key` resolve no rank
+/// at all, `insert`/`remove` exactly the one rank the backend operation
+/// needs, and `range` at most two per call however long it is — pinned
+/// with the backend's rank↔label resolution counter.
+#[test]
+fn label_map_search_resolves_no_ranks() {
+    use layered_list_labeling::classic::ClassicBuilder;
+    use layered_list_labeling::embedding::layered::corollary11_builder;
+
+    fn check<B: LabelingBuilder>(mut map: LabelMap<u64, u64, Growable<B>>) {
+        let resolutions = |map: &LabelMap<u64, u64, Growable<B>>| map.backend().rank_resolutions();
+        map.extend_sorted((0..4000u64).map(|k| (k * 2, k)).collect());
+        let before = resolutions(&map);
+        let mut hits = 0;
+        for k in 0..8000u64 {
+            hits += usize::from(map.get(&k).is_some()) + usize::from(map.contains_key(&k));
+        }
+        assert_eq!(hits, 8000);
+        assert_eq!(resolutions(&map), before, "get/contains_key resolved ranks");
+        for k in [1u64, 4001, 7999, 9001] {
+            let before = resolutions(&map);
+            assert_eq!(map.insert(k, 0), None);
+            assert!(resolutions(&map) - before <= 1, "insert({k}) resolved > 1 rank");
+            let before = resolutions(&map);
+            assert_eq!(map.remove(&k), Some(0));
+            assert!(resolutions(&map) - before <= 1, "remove({k}) resolved > 1 rank");
+        }
+        for (lo, hi) in [(0u64, 10), (100, 7000), (3, 9000), (7000, 100)] {
+            let before = resolutions(&map);
+            let n = map.range(lo..hi).count();
+            assert!(resolutions(&map) - before <= 2, "range({lo}..{hi}) resolved > 2 ranks");
+            assert_eq!(n, (lo..hi.min(8000)).filter(|k| k % 2 == 0).count());
+        }
+        map.check_payload();
+    }
+    check(LabelMap::with_backend(ListBuilder::new().build_growable(ClassicBuilder)));
+    check(LabelMap::with_backend(ListBuilder::new().build_growable(corollary11_builder(3))));
 }
 
 /// Drive an [`OrderedList`] with rank-based ops against a reference `Vec`,
